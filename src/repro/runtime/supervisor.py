@@ -58,6 +58,7 @@ exact-check configuration (asserted in ``tests/test_runtime_faults.py``).
 from __future__ import annotations
 
 import logging
+import os
 import signal
 import threading
 import time
@@ -291,8 +292,19 @@ def _supervised_branch_worker(
 # ----------------------------------------------------------------------
 # pool lifecycle helpers
 # ----------------------------------------------------------------------
+# How often a pool worker checks that the process that started it is alive.
+_ORPHAN_POLL_SECONDS = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit the worker once ``parent`` is gone (the worker was reparented)."""
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker_process_init() -> None:
-    """Pool-worker initializer: shed the host process's signal plumbing.
+    """Pool-worker initializer: shed the host's signal plumbing, die with it.
 
     Fork-started workers inherit the parent's signal handlers *and* its
     ``signal.set_wakeup_fd`` pipe.  When the parent is an asyncio host
@@ -302,6 +314,10 @@ def _worker_process_init() -> None:
     the host itself had been signalled.  Resetting to the default
     disposition (and detaching the wakeup fd) keeps worker lifecycle
     signals inside the worker.
+
+    A parent killed with SIGKILL never terminates its pool, so each worker
+    also runs a daemon watcher that exits the worker once its parent is
+    gone, instead of leaving it running reparented.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
@@ -309,6 +325,12 @@ def _worker_process_init() -> None:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # non-main thread or closed fd: nothing to shed
         pass
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        name="orphan-watch",
+        daemon=True,
+    ).start()
 
 
 def _new_pool(processes: Optional[int]) -> ProcessPoolExecutor:

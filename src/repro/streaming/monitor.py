@@ -1,16 +1,18 @@
 """Incremental maintenance of threshold-based PFCIs over a sliding window.
 
 :class:`PFCIMonitor` keeps the exact MPFCI result set of the current window
-current under single-transaction slides without re-mining the whole window.
-Three observations make this sound (the full argument is in
-``docs/streaming.md``):
+current under slides without re-mining the whole window.  A slide carries
+one or more arrivals: each is appended in turn (evicting the oldest row when
+the window is full), and the result set is then reconciled once, against
+the final window.  Three observations make this sound (the full argument is
+in ``docs/streaming.md``):
 
 1. **Branch locality.**  Every quantity behind a result whose minimum item
    is ``r`` — ``Pr_F``, the extension events, and therefore ``Pr_FC`` — is a
-   function of only the transactions that *contain* ``r``.  A slide whose
-   entering and leaving transactions both lack ``r`` cannot change any
+   function of only the transactions that *contain* ``r``.  A slide none of
+   whose entering or leaving transactions contains ``r`` cannot change any
    result in branch ``r``, so the branch's previous results are retained
-   verbatim.  Only branches rooted at a *touched* item (one appearing in the
+   verbatim.  Only branches rooted at a *touched* item (one appearing in a
    slid-in or slid-out transaction) are reconsidered.
 
 2. **Screening.**  A touched branch is re-mined only when its root survives
@@ -35,7 +37,9 @@ Three observations make this sound (the full argument is in
 Re-mined branches run through the ordinary :meth:`MPFCIMiner.mine_branch`
 warm-start entry point against the window snapshot, sharing one
 :class:`~repro.core.cache.SupportDPCache` that is rebound (and thereby
-invalidated) per window generation.  On deterministic checking paths (no
+invalidated) once per slide; above the scalar DP cap the re-mined roots'
+``Pr_F`` values are seeded into it as one padded batch DP, bit-identical to
+the per-root DP the checks would otherwise run.  On deterministic checking paths (no
 ApproxFCP sampling) the maintained result set is identical to re-mining the
 window from scratch — asserted per slide in
 ``benchmarks/bench_streaming_slide.py`` and property-tested in
@@ -57,7 +61,14 @@ from ..core.database import UncertainTransaction
 from ..core.itemsets import Item, Itemset, canonical
 from ..core.miner import MPFCIMiner, ProbabilisticFrequentClosedItemset
 from ..core.stats import MiningStats
-from ..core.support import PMFStabilityError, frequent_probability, pmf_add, pmf_remove, support_pmf
+from ..core.support import (
+    _SCALAR_DP_CAP,
+    PMFStabilityError,
+    frequent_probability,
+    pmf_add,
+    pmf_remove,
+    support_pmf,
+)
 from .window import WindowedUncertainDatabase
 
 __all__ = ["PFCIMonitor", "SlideDelta"]
@@ -83,7 +94,7 @@ _RESULT_ORDER = lambda result: (len(result.itemset), result.itemset)  # noqa: E7
 
 @dataclass(frozen=True)
 class SlideDelta:
-    """Structured outcome of one window slide.
+    """Structured outcome of one window slide (one or more arrivals).
 
     Attributes:
         generation: window generation after the slide.
@@ -142,6 +153,9 @@ class PFCIMonitor:
                 handle(delta.added, delta.removed)
         current = monitor.results()
 
+    ``monitor.extend(batch)`` slides a whole batch at once and returns one
+    delta for it, reconciling once instead of once per arrival.
+
     Args:
         config: the usual miner configuration; ``min_sup`` is absolute over
             the window.
@@ -190,16 +204,29 @@ class PFCIMonitor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def slide(self, transaction: UncertainTransaction) -> SlideDelta:
-        """Append one transaction (evicting the oldest when full) and
-        bring the PFCI set up to date; returns the structured delta."""
-        evicted = self.window.append(transaction)
+    def slide(self, *transactions: UncertainTransaction) -> SlideDelta:
+        """Append the transactions in order (each evicting the oldest when
+        full), then bring the PFCI set up to date once for the final window.
+
+        Returns one structured delta for the whole slide.  Item PMFs are
+        updated per arrival; screening, the snapshot and the branch re-mines
+        run once.  A slide without transactions changes nothing and is not
+        counted in ``stats.slides_processed``.
+        """
+        if not transactions:
+            current = tuple(self.results())
+            return SlideDelta(self.window.generation, (), (), current, (), ())
         self.stats.slides_processed += 1
-        touched: Set[Item] = set(transaction.items)
-        if evicted is not None:
-            touched.update(evicted.items)
-        for item in touched:
-            self._update_item_state(item, transaction, evicted)
+        touched: Set[Item] = set()
+        for transaction in transactions:
+            evicted = self.window.append(transaction)
+            step = set(transaction.items)
+            if evicted is not None:
+                step.update(evicted.items)
+            for item in step:
+                self._update_pmf(item, transaction, evicted)
+            touched |= step
+        self._screen_items(touched)
         return self._reconcile(touched)
 
     def append(
@@ -208,10 +235,9 @@ class PFCIMonitor:
         """Convenience wrapper building the transaction from a row triple."""
         return self.slide(UncertainTransaction(tid, canonical(items), probability))
 
-    def extend(
-        self, transactions: Iterable[UncertainTransaction]
-    ) -> List[SlideDelta]:
-        return [self.slide(transaction) for transaction in transactions]
+    def extend(self, transactions: Iterable[UncertainTransaction]) -> SlideDelta:
+        """Slide the whole batch at once; see :meth:`slide`."""
+        return self.slide(*transactions)
 
     def results(self) -> List[ProbabilisticFrequentClosedItemset]:
         """The current window's full PFCI set, sorted like ``mine()``."""
@@ -224,12 +250,13 @@ class PFCIMonitor:
     # ------------------------------------------------------------------
     # per-item incremental state
     # ------------------------------------------------------------------
-    def _update_item_state(
+    def _update_pmf(
         self,
         item: Item,
         appended: Optional[UncertainTransaction],
         evicted: Optional[UncertainTransaction],
     ) -> None:
+        """Bring ``item``'s support PMF up to date after one append."""
         count = self.window.count_of_item(item)
         if count == 0:
             self._states.pop(item, None)
@@ -263,7 +290,12 @@ class PFCIMonitor:
             self.stats.pmf_incremental_updates += 1
         state.pmf = pmf
 
-        self._screen_item(item, state, count)
+    def _screen_items(self, items: Iterable[Item]) -> None:
+        """Screen each still-present item once against the current window."""
+        for item in items:
+            state = self._states.get(item)
+            if state is not None:
+                self._screen_item(item, state, self.window.count_of_item(item))
 
     def _screen_item(self, item: Item, state: _ItemState, count: int) -> None:
         """Re-derive candidacy with the batch miner's filters, slack-guarded.
@@ -292,7 +324,7 @@ class PFCIMonitor:
                 state.candidate = False
                 return
         pmf = state.pmf
-        assert pmf is not None  # _update_item_state always rebuilds before screening
+        assert pmf is not None  # _update_pmf always rebuilds before screening
         pr_f = float(np.sum(pmf[config.min_sup :]))
         if abs(pr_f - config.pfct) <= self.numeric_slack:
             pr_f = frequent_probability(
@@ -312,9 +344,8 @@ class PFCIMonitor:
             if item in self._states and self._states[item].candidate
         ]
         to_mine = [item for item in candidates if item in touched]
-        screened = tuple(
-            item for item in canonical(touched) if item not in set(to_mine)
-        )
+        mined = set(to_mine)
+        screened = tuple(item for item in canonical(touched) if item not in mined)
         for item in screened:
             self._branch_results.pop(item, None)
         self.stats.branches_screened_out += len(screened)
@@ -368,10 +399,18 @@ class PFCIMonitor:
             )
         else:
             self._cache.rebind(snapshot, self.window.generation, engine=engine)
+        if engine.vectorized and self.config.min_sup > _SCALAR_DP_CAP:
+            # Each root's check reads its Pr_F.  Above the scalar cap a DP
+            # per root walks NumPy one column at a time, and one padded batch
+            # DP over all roots walks the columns once, bit-identically.  At
+            # or below it the scalar per-root loop is faster than the batch.
+            self._cache.seed_frequent_probabilities(
+                engine.universe(), [engine.item_tidset(root) for root in to_mine]
+            )
         miner = MPFCIMiner(snapshot, self.config, support_cache=self._cache)
+        positions = {item: position for position, item in enumerate(candidates)}
         for root in to_mine:
-            position = candidates.index(root)
-            branch = miner.mine_branch(root, candidates[position + 1 :])
+            branch = miner.mine_branch(root, candidates[positions[root] + 1 :])
             if branch:
                 self._branch_results[root] = tuple(branch)
             else:
@@ -389,7 +428,8 @@ class PFCIMonitor:
         """Mine a pre-filled window from cold: every item counts as touched."""
         touched = set(self.window.distinct_items)
         for item in touched:
-            self._update_item_state(item, None, None)
+            self._update_pmf(item, None, None)
+        self._screen_items(touched)
         self._reconcile(touched)
 
     def __repr__(self) -> str:

@@ -121,6 +121,35 @@ class ServiceProcess:
             self.proc.wait(timeout=10)
 
 
+def child_pids(pid):
+    """Children of ``pid`` from ``/proc/<pid>/task/*/children``.
+
+    Kernels built without that file get the same set from a scan of every
+    process's parent pid.
+    """
+    files = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    if files:
+        return {int(token) for path in files for token in path.read_text().split()}
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def process_running(pid):
+    """True while ``pid`` exists and has not exited (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def poll_until_terminal(base, job_id, timeout=120.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -161,7 +190,19 @@ class TestKillMinus9Durability:
             while checkpoint_branch_records(checkpoint) < 2:
                 assert time.monotonic() < deadline, "no checkpoint progress"
                 time.sleep(0.05)
+            workers = child_pids(service.proc.pid)
+            assert workers, "the job runs in a pool worker of the server"
             service.sigkill()
+
+            # The killed server's pool workers notice and exit, rather
+            # than living on reparented.
+            deadline = time.monotonic() + 5.0
+            while any(process_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"orphaned workers still running: "
+                    f"{sorted(pid for pid in workers if process_running(pid))}"
+                )
+                time.sleep(0.05)
 
             # The crash left the manifest mid-flight, not terminal.
             manifest = json.loads(

@@ -2,7 +2,8 @@
 
 The load-bearing property is *exactness*: after every slide the maintained
 result set must equal re-mining the window snapshot from scratch, field for
-field, on deterministic checking paths.  The remaining tests pin the delta
+field, on deterministic checking paths, whether a slide carries one arrival
+or a batch.  The remaining tests pin the delta
 semantics (old − removed + added == new), the slide-level work counters,
 and the persistence of the shared support-DP cache across generations.
 """
@@ -14,7 +15,8 @@ import pytest
 from repro.core.config import MinerConfig
 from repro.core.database import UncertainDatabase, UncertainTransaction
 from repro.core.miner import MPFCIMiner
-from repro.streaming import PFCIMonitor, WindowedUncertainDatabase
+from repro.core.support import _SCALAR_DP_CAP
+from repro.streaming import PFCIMonitor, SlideDelta, WindowedUncertainDatabase
 
 ITEMS = "abcdefgh"
 
@@ -70,6 +72,94 @@ class TestExactness:
         assert [result_key(r) for r in monitor.results()] == [
             result_key(r) for r in scratch
         ]
+
+
+class TestBatchedSlides:
+    """A slide carrying a batch of arrivals reconciles once, for the final
+    window, and must leave exactly what per-arrival slides leave."""
+
+    @pytest.mark.parametrize(
+        "capacity, batch, arrivals, seed, min_sup",
+        [
+            (25, 1, 60, 31, 4),
+            (25, 3, 90, 37, 4),
+            (25, 16, 160, 41, 4),
+            # Larger than the window: rows are appended and evicted within
+            # one batch.
+            (10, 16, 96, 43, 4),
+            # The window is still filling for every batch.
+            (200, 7, 70, 47, 4),
+            # Above the scalar DP cap the re-mined roots' Pr_F values are
+            # seeded by the padded batch DP.
+            (250, 16, 320, 67, _SCALAR_DP_CAP + 2),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["bitmap", "tuple"])
+    def test_extend_matches_replay_and_scratch(
+        self, capacity, batch, arrivals, seed, min_sup, backend
+    ):
+        config = CONFIG.variant(tidset_backend=backend, min_sup=min_sup)
+        rng = random.Random(seed)
+        stream = [random_transaction(rng, number) for number in range(arrivals)]
+        batched = PFCIMonitor(config, window=capacity)
+        replayed = PFCIMonitor(config, window=capacity)
+        for start in range(0, arrivals, batch):
+            block = stream[start : start + batch]
+            batched.extend(block)
+            for transaction in block:
+                replayed.slide(transaction)
+            scratch = MPFCIMiner(UncertainDatabase(list(batched.window)), config).mine()
+            expected = [result_key(r) for r in scratch]
+            assert [result_key(r) for r in batched.results()] == expected, start
+            assert [result_key(r) for r in replayed.results()] == expected, start
+        assert list(batched.window) == list(replayed.window)
+        assert batched.results(), "the stream must keep some results"
+        assert batched.stats.slides_processed == -(-arrivals // batch)
+        assert batched.window.total_appended == arrivals
+
+    def test_batch_delta_coherence(self):
+        """old − removed + added == new across each whole batch."""
+        rng = random.Random(53)
+        monitor = PFCIMonitor(CONFIG, window=25)
+        previous = set()
+        for number in range(0, 120, 6):
+            batch = [random_transaction(rng, number + k) for k in range(6)]
+            delta = monitor.extend(batch)
+            current = {r.itemset for r in monitor.results()}
+            added = {r.itemset for r in delta.added}
+            removed = {r.itemset for r in delta.removed}
+            assert (previous - removed) | added == current
+            assert added == current - previous
+            assert removed == previous - current
+            assert {r.itemset for r in delta.retained} == previous & current
+            assert delta.generation == monitor.generation
+            assert not set(delta.remined_branches) & set(delta.screened_branches)
+            previous = current
+
+    def test_one_rebind_per_batch(self):
+        rng = random.Random(59)
+        monitor = PFCIMonitor(CONFIG, window=25)
+        monitor.extend(random_transaction(rng, number) for number in range(25))
+        for number in range(25, 105, 16):
+            before = monitor.stats.dp_generation_invalidations
+            monitor.extend(random_transaction(rng, number + k) for k in range(16))
+            assert monitor.stats.dp_generation_invalidations - before <= 1
+
+    def test_empty_extend_is_a_noop(self):
+        rng = random.Random(61)
+        monitor = PFCIMonitor(CONFIG, window=20)
+        monitor.extend(random_transaction(rng, number) for number in range(30))
+        results = [result_key(r) for r in monitor.results()]
+        window = list(monitor.window)
+        counters = monitor.stats.report()["counters"]
+        delta = monitor.extend([])
+        assert not delta.changed
+        assert delta.generation == monitor.generation == 30
+        assert [result_key(r) for r in delta.retained] == results
+        assert delta.remined_branches == delta.screened_branches == ()
+        assert [result_key(r) for r in monitor.results()] == results
+        assert list(monitor.window) == window
+        assert monitor.stats.report()["counters"] == counters
 
 
 class TestDeltas:
@@ -165,10 +255,12 @@ class TestConvenienceAPI:
         delta = monitor.append("T1", "ab", 0.9)
         assert delta.generation == 1
         rng = random.Random(23)
-        deltas = monitor.extend(
+        delta = monitor.extend(
             random_transaction(rng, number) for number in range(2, 8)
         )
-        assert len(deltas) == 6
+        assert isinstance(delta, SlideDelta)
+        assert delta.generation == 7
+        assert monitor.stats.slides_processed == 2
         assert len(monitor.window) == 7
         assert "PFCIMonitor" in repr(monitor)
 

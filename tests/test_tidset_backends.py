@@ -27,8 +27,9 @@ from repro.core.database import (
 )
 from repro.core.miner import MPFCIMiner
 from repro.core.support import (
+    _SCALAR_DP_CAP,
     frequent_probability,
-    frequent_probability_masked_batch,
+    frequent_probability_padded_batch,
     sample_conditional_presence,
     sample_conditional_presence_batch,
     tail_probability_table,
@@ -172,26 +173,28 @@ class TestPackedWords:
 # batched kernels are bit-exact against their serial references
 # ----------------------------------------------------------------------
 class TestBatchedKernels:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(
+            st.integers(min_value=0, max_value=_SCALAR_DP_CAP),
+            st.integers(min_value=_SCALAR_DP_CAP + 1, max_value=130),
+        ),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_masked_batch_dp_matches_serial(self, seed):
+    def test_padded_batch_dp_matches_serial(self, seed, min_sup):
+        """Both sides of the scalar/NumPy crossover: every row of the padded
+        batch equals the serial DP of its probabilities, bit for bit."""
         rng = random.Random(seed)
-        width = rng.randint(1, 24)
-        base = [round(rng.uniform(0.01, 1.0), 4) for _ in range(width)]
-        min_sup = rng.randint(0, width)
-        membership = np.array(
-            [
-                [rng.random() < 0.6 for _ in range(width)]
-                for _ in range(rng.randint(1, 6))
-            ],
-            dtype=bool,
-        )
-        batch = frequent_probability_masked_batch(
-            np.asarray(base), membership, min_sup
-        )
-        for row in range(membership.shape[0]):
-            subset = [p for p, member in zip(base, membership[row]) if member]
-            assert batch[row] == frequent_probability(subset, min_sup)
+        rows = [
+            [round(rng.uniform(0.01, 1.0), 4) for _ in range(rng.randint(0, 160))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        padded = np.zeros((len(rows), max(len(row) for row in rows)))
+        for index, row in enumerate(rows):
+            padded[index, : len(row)] = row
+        batch = frequent_probability_padded_batch(padded, min_sup)
+        for index, row in enumerate(rows):
+            assert batch[index] == frequent_probability(row, min_sup)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
